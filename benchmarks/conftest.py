@@ -2,8 +2,13 @@
 
 Each benchmark regenerates one table or figure of the paper through the
 harness in :mod:`repro.bench`, asserts the qualitative relationships the
-paper reports, writes the rows to ``benchmarks/results/*.csv`` and registers
-the run with pytest-benchmark (wall-clock time of the harness itself).
+paper reports, writes the rows to CSV/JSON files and registers the run with
+pytest-benchmark (wall-clock time of the harness itself).
+
+Result files go to ``benchmarks/results-local/``, which git ignores, so a
+test run leaves the working tree clean.  The tracked files under
+``benchmarks/results/`` are the recorded reference; to refresh them, point
+``REPRO_BENCH_RESULTS_DIR`` at that directory for the run.
 
 The problem sizes are controlled by ``REPRO_BENCH_SCALE``:
 
@@ -21,7 +26,9 @@ if _SRC not in sys.path:
 
 import pytest  # noqa: E402
 
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+RESULTS_DIR = os.environ.get("REPRO_BENCH_RESULTS_DIR") or os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "results-local"
+)
 
 #: Problem-size presets, per experiment.
 SCALES = {

@@ -76,12 +76,16 @@ def test_rebalance_scaling_under_skew(benchmark, bench_scale, results_dir):
         f"rebalancing only {zipf8['speedup_vs_static']:.2f}x the static "
         "partition's effective rate on Zipf(1.0) at 8 shards"
     )
-    assert zipf8["traffic_max_min_ratio"] <= 2.0, (
-        f"per-shard traffic max/min converged to "
-        f"{zipf8['traffic_max_min_ratio']:.2f} > 2 on Zipf(1.0) at 8 shards"
+    # A ratio of None means some shard saw no traffic at all: unbounded
+    # imbalance.
+    ratio = zipf8["traffic_max_min_ratio"]
+    assert ratio is not None and ratio <= 2.0, (
+        f"per-shard traffic max/min converged to {ratio} > 2 on Zipf(1.0) "
+        "at 8 shards"
     )
     static8 = _row(rows, "zipf", 8, "static")
-    assert static8["traffic_max_min_ratio"] > 2.0, (
+    static_ratio = static8["traffic_max_min_ratio"]
+    assert static_ratio is None or static_ratio > 2.0, (
         "the static partition shows no imbalance — the workload is not "
         "skewed enough to measure rebalancing against"
     )

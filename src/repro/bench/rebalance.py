@@ -72,14 +72,15 @@ WORKLOADS: Dict[str, dict] = {
 }
 
 
-def _traffic_ratio(backend: ShardedLSM) -> float:
-    """max/min per-shard EWMA traffic (inf when a shard saw nothing)."""
+def _traffic_ratio(backend: ShardedLSM) -> Optional[float]:
+    """max/min per-shard EWMA traffic; ``None`` when a shard saw nothing
+    (the ratio is undefined, and the report cells are left empty)."""
     ewma = backend.traffic_stats()["per_shard_ewma"]
     hottest = max(ewma)
     coldest = min(ewma)
     if hottest <= 0.0:
         return 1.0
-    return float("inf") if coldest <= 0.0 else hottest / coldest
+    return None if coldest <= 0.0 else hottest / coldest
 
 
 def rebalance_scaling(
@@ -206,9 +207,8 @@ def update_rebalance_trajectory(path: str, rows: Sequence[dict], label: str) -> 
         point[row["mode"]] = round(row["effective_rate_mops"], 6)
         if "speedup_vs_static" in row:
             point["speedup"] = round(row["speedup_vs_static"], 3)
-            point["traffic_max_min_ratio"] = round(
-                min(row["traffic_max_min_ratio"], 1e9), 3
-            )
+            ratio = row["traffic_max_min_ratio"]
+            point["traffic_max_min_ratio"] = None if ratio is None else round(ratio, 3)
     entry = {"label": label, "rates": points}
     doc["entries"] = [e for e in doc["entries"] if e.get("label") != label] + [entry]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

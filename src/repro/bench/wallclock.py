@@ -42,6 +42,7 @@ from repro.api.ops import OpBatch, OpCode, ResultBatch
 from repro.bench.mixed import _make_backend
 from repro.bench.runner import PAPER_INSERTION_ELEMENTS, scaled_spec
 from repro.bench.workloads import MixedOpConfig, hot_key_set, make_mixed_batches
+from repro.gpu.device import Device
 from repro.gpu.spec import GPUSpec
 from repro.serve.cache import DEFAULT_CACHE_CAPACITY
 from repro.serve.engine import Engine
@@ -177,6 +178,22 @@ def assert_results_bit_identical(
         raise AssertionError(f"range values diverged{where}")
     if sorted(a.errors) != sorted(b.errors):
         raise AssertionError(f"error sets diverged{where}")
+
+
+def assert_counters_bit_identical(a: Device, b: Device, context: str = "") -> None:
+    """Raise ``AssertionError`` unless two devices were charged identically:
+    the same per-kernel totals, the same chronological kernel log and the
+    exact same simulated clock."""
+    where = f" ({context})" if context else ""
+    if a.counter.per_kernel != b.counter.per_kernel:
+        raise AssertionError(f"per-kernel totals diverged{where}")
+    if a.counter.log != b.counter.log:
+        raise AssertionError(f"kernel logs diverged{where}")
+    if a.simulated_seconds != b.simulated_seconds:
+        raise AssertionError(
+            f"simulated clocks diverged{where}: "
+            f"{a.simulated_seconds!r} != {b.simulated_seconds!r}"
+        )
 
 
 def _replay_phases(

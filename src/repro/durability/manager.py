@@ -179,6 +179,12 @@ class DurabilityManager:
         if self._wal is not None:
             self._wal.close()
 
+    def discard_unacknowledged(self) -> None:
+        """Drop log bytes a failed append left past the acknowledged end
+        (the engine calls this when it rolls the failed tick back)."""
+        if self._wal is not None:
+            self._wal.discard_unacknowledged()
+
     # ------------------------------------------------------------------ #
     # Per-tick hooks (called by the engine under its executor lock)
     # ------------------------------------------------------------------ #

@@ -253,7 +253,9 @@ class WriteAheadLog:
         #: Healed lazily at the *next* append, so between the failure and
         #: any retry the on-disk state is exactly what a process death at
         #: that instant would leave — the kill-and-restart oracle depends
-        #: on seeing that torn tail.
+        #: on seeing that torn tail.  A caller that survives the failure
+        #: and rolls the tick back heals it at once through
+        #: :meth:`discard_unacknowledged`.
         self._tail_dirty = False
         # Lifetime counters surfaced in Engine.stats().
         self.appends = 0
@@ -305,6 +307,13 @@ class WriteAheadLog:
         self.bytes_written += len(record)
         self.end_offset += len(record)
         return self.end_offset
+
+    def discard_unacknowledged(self) -> None:
+        """Heal a failed append's tail now instead of at the next append:
+        the caller has rolled the failed tick back, so its bytes must not
+        survive a clean :meth:`close` and be replayed by recovery."""
+        if self._tail_dirty and not self._closed:
+            self._heal_tail()
 
     def _heal_tail(self) -> None:
         """Cut unacknowledged bytes a failed append left past

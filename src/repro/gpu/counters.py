@@ -14,7 +14,7 @@ NumPy work that computes the functional result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Sequence
 
 
 @dataclass
@@ -94,6 +94,21 @@ class KernelStats:
             launches=self.launches + other.launches,
         )
 
+    def times(self, repeat: int) -> "KernelStats":
+        """Return the exact integer total of ``repeat`` identical launches
+        (what ``repeat - 1`` successive :meth:`merge` calls would give)."""
+        return KernelStats(
+            name=self.name,
+            coalesced_read_bytes=self.coalesced_read_bytes * repeat,
+            coalesced_write_bytes=self.coalesced_write_bytes * repeat,
+            random_read_bytes=self.random_read_bytes * repeat,
+            random_write_bytes=self.random_write_bytes * repeat,
+            filter_read_bytes=self.filter_read_bytes * repeat,
+            filter_write_bytes=self.filter_write_bytes * repeat,
+            work_items=self.work_items * repeat,
+            launches=self.launches * repeat,
+        )
+
     def scaled(self, factor: float) -> "KernelStats":
         """Return a copy with all traffic scaled by ``factor`` (used by the
         workload extrapolation helpers in the benchmark harness)."""
@@ -142,6 +157,26 @@ class TrafficCounter:
         self.total_filter_bytes += stats.filter_bytes
         self.total_launches += stats.launches
         self.total_work_items += stats.work_items
+
+    def record_repeated(self, kernels: Sequence[KernelStats], repeat: int = 1) -> None:
+        """Record ``kernels`` in order, ``repeat`` times over.
+
+        Leaves exactly the state ``repeat`` rounds of :meth:`record` would:
+        every launch lands in the log, and the integer aggregates are added
+        once per distinct record instead of once per launch.
+        """
+        self.log.extend(list(kernels) * repeat)
+        for stats in kernels:
+            total = stats if repeat == 1 else stats.times(repeat)
+            existing = self.per_kernel.get(stats.name)
+            self.per_kernel[stats.name] = (
+                total if existing is None else existing.merge(total)
+            )
+            self.total_coalesced_bytes += total.coalesced_bytes
+            self.total_random_bytes += total.random_bytes
+            self.total_filter_bytes += total.filter_bytes
+            self.total_launches += total.launches
+            self.total_work_items += total.work_items
 
     @property
     def total_bytes(self) -> int:

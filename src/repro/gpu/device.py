@@ -23,7 +23,7 @@ suite and the benchmark harness — construct their own devices explicitly.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,6 +119,22 @@ class Device:
         self.counter.record(stats)
         self.simulated_seconds += self.cost_model.cost_of(stats).seconds
         return stats
+
+    def record_kernels(self, kernels: Sequence[KernelStats], repeat: int = 1) -> None:
+        """Record a fixed sequence of kernel launches ``repeat`` times over.
+
+        Counters and clock end exactly as if :meth:`record_kernel` had been
+        called for every launch in order; each record's cost is computed
+        once, which is what a multi-pass primitive launching the same
+        kernels on every pass needs.
+        """
+        self.counter.record_repeated(kernels, repeat)
+        # The clock is a float: advance it launch by launch, in order, so
+        # it rounds exactly as per-launch recording would.
+        seconds = [self.cost_model.cost_of(stats).seconds for stats in kernels]
+        for _ in range(repeat):
+            for cost in seconds:
+                self.simulated_seconds += cost
 
     def grid_for(
         self, num_items: int, config: LaunchConfig = LaunchConfig()

@@ -6,7 +6,9 @@ scatters.  The simulated sort in :mod:`repro.primitives.radix_sort` uses the
 same three stages; this module implements the histogram stage both
 device-wide (:func:`digit_histogram`) and per-block
 (:func:`block_histograms`), the latter being what the scatter offsets are
-actually derived from.
+actually derived from.  :func:`block_histogram_kernel` states the
+per-block kernel's traffic from sizes alone, which is how the radix sort
+charges its histogram stage without materialising the table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.gpu.counters import KernelStats
 from repro.gpu.device import Device, get_default_device
 from repro.gpu.launch import LaunchConfig
 
@@ -71,12 +74,37 @@ def digit_histogram(
     return hist
 
 
+#: Launch shape of the per-block histogram kernel: one 4096-item tile per
+#: thread block, the tile the radix sort's scatter offsets are derived from.
+BLOCK_HISTOGRAM_CONFIG = LaunchConfig(block_size=256, items_per_thread=16)
+
+
+def block_histogram_kernel(
+    num_items: int,
+    key_itemsize: int,
+    digit_bits: int,
+    config: LaunchConfig = BLOCK_HISTOGRAM_CONFIG,
+) -> KernelStats:
+    """The traffic of one per-block histogram launch, from sizes alone.
+
+    One streaming read of the keys and a write-back of the
+    ``[num_blocks, 2**digit_bits]`` ``int64`` histogram table.
+    """
+    num_blocks = max(1, -(-num_items // config.tile_size))
+    return KernelStats(
+        name="histogram.block_digit",
+        coalesced_read_bytes=num_items * key_itemsize,
+        coalesced_write_bytes=(num_blocks << digit_bits) * 8,
+        work_items=num_items,
+    )
+
+
 def block_histograms(
     keys: np.ndarray,
     digit_bits: int,
     shift: int,
     device: Optional[Device] = None,
-    config: LaunchConfig = LaunchConfig(block_size=256, items_per_thread=16),
+    config: LaunchConfig = BLOCK_HISTOGRAM_CONFIG,
 ) -> np.ndarray:
     """Per-block digit histograms, shaped ``[num_blocks, 2**digit_bits]``.
 
@@ -103,10 +131,7 @@ def block_histograms(
     flat = np.bincount(combined, minlength=num_blocks * num_buckets)
     hist = flat.reshape(num_blocks, num_buckets).astype(np.int64)
 
-    device.record_kernel(
-        "histogram.block_digit",
-        coalesced_read_bytes=keys.nbytes,
-        coalesced_write_bytes=hist.nbytes,
-        work_items=n,
+    device.record_kernels(
+        [block_histogram_kernel(n, keys.dtype.itemsize, digit_bits, config)]
     )
     return hist

@@ -5,13 +5,19 @@ status bit* (Fig. 3 line 9), which is what places tombstones ahead of regular
 elements with the same key inside a batch.  The GPU SA baseline and the
 cleanup fallback path also rely on it.
 
-The implementation is a faithful LSD radix sort: the key is processed in
-``digit_bits``-wide digits from least to most significant, and each pass
-performs (1) a per-block digit histogram, (2) an exclusive scan of the
-histograms, and (3) a stable scatter — the same three kernels CUB launches.
-The scatter within a pass is realised with a vectorised stable counting sort
-(``numpy`` ``argsort(kind="stable")`` over the digit), which is
-element-for-element what the rank-then-scatter kernels produce.
+The module separates the answer from the charge:
+
+* **Result.** An LSD radix sort over any digit width yields one thing: the
+  stable permutation by the key's ``[begin_bit, end_bit)`` field.  That
+  permutation is computed once, with LSD passes over 16-bit chunks of the
+  field cast to ``uint16`` (NumPy's stable argsort is itself a radix sort
+  at that width), and keys and values are gathered through it at the end.
+* **Charge.** The device is charged per *configured* ``digit_bits`` pass,
+  exactly as CUB launches it: (1) a per-block digit histogram, (2) an
+  exclusive scan of the histogram table and (3) a stable scatter.  Every
+  kernel's traffic is a function of the input length, the 4096-item
+  histogram tile and ``2**digit_bits`` alone, so it is recorded from sizes
+  without materialising per-pass digits.
 
 Traffic model per pass: read keys (+ values), write keys (+ values), plus the
 histogram/scan traffic — giving the familiar ``passes × 2 × payload`` DRAM
@@ -23,13 +29,13 @@ this model; the default 8-bit digits land in the same regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.gpu.counters import KernelStats
 from repro.gpu.device import Device, get_default_device
-from repro.primitives.histogram import block_histograms
-from repro.primitives.scan import exclusive_scan
+from repro.primitives.histogram import block_histogram_kernel
 
 
 @dataclass(frozen=True)
@@ -72,53 +78,85 @@ def _check_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+#: Width of the chunks the stable permutation is built from: the widest
+#: integer width NumPy's stable argsort radix-sorts (wider types get timsort).
+_CHUNK_BITS = 16
+
+
+def _chunk(keys: np.ndarray, shift: int, end_bit: int) -> np.ndarray:
+    """Bits ``[shift, min(shift + 16, end_bit))`` of every key, as ``uint16``."""
+    mask = keys.dtype.type((1 << min(_CHUNK_BITS, end_bit - shift)) - 1)
+    return ((keys >> keys.dtype.type(shift)) & mask).astype(np.uint16)
+
+
+def _stable_order(keys: np.ndarray, begin_bit: int, end_bit: int) -> np.ndarray:
+    """Stable permutation sorting ``keys`` by bits ``[begin_bit, end_bit)``."""
+    shifts = range(begin_bit, end_bit, _CHUNK_BITS)
+    order = np.argsort(_chunk(keys, shifts[0], end_bit), kind="stable")
+    for shift in shifts[1:]:
+        order = order[np.argsort(_chunk(keys, shift, end_bit)[order], kind="stable")]
+    return order
+
+
+def _pass_kernels(keys: np.ndarray, width: int, payload_bytes: int) -> List[KernelStats]:
+    """The three kernels of one ``width``-bit digit pass, charged from sizes."""
+    n = keys.size
+    # Stage 1 + 2: per-block histogram of the digit and a scan of the
+    # whole [blocks, 2**width] table into scatter offsets.
+    hist = block_histogram_kernel(n, keys.dtype.itemsize, width)
+    table_bytes = hist.coalesced_write_bytes
+    scan = KernelStats(
+        name="radix_sort.scan",
+        coalesced_read_bytes=table_bytes,
+        coalesced_write_bytes=table_bytes,
+        work_items=table_bytes // 8,
+    )
+    # Stage 3: stable scatter by the digit.  The writes land in
+    # 2**digit_bits distinct output partitions, so they are only partially
+    # coalesced; charging them as random traffic is what calibrates the
+    # simulated sort to the ~770 M key-value pairs/s the paper measures on
+    # the K40c.
+    scatter = KernelStats(
+        name="radix_sort.scatter",
+        coalesced_read_bytes=payload_bytes,
+        random_write_bytes=payload_bytes,
+        work_items=n,
+    )
+    return [hist, scan, scatter]
+
+
 def _sort_passes(
     keys: np.ndarray,
     values: Optional[np.ndarray],
     config: RadixSortConfig,
     device: Device,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-    """Run the LSD digit passes and return sorted key/value copies."""
+    """Sort by the configured bit range; charge CUB's digit passes.
+
+    Returns sorted key/value copies and the number of passes charged.
+    """
     begin_bit, end_bit = _resolve_bits(keys, config)
     num_passes = max(0, -(-(end_bit - begin_bit) // config.digit_bits))
-
-    out_keys = keys.copy()
-    out_values = values.copy() if values is not None else None
-    payload_bytes = keys.nbytes + (values.nbytes if values is not None else 0)
 
     if keys.size == 0 or num_passes == 0:
         # Zero-length (or zero-bit-range) sorts still launch nothing on the
         # real device worth modelling; return copies for API uniformity.
-        return out_keys, out_values, 0
+        return keys.copy(), values.copy() if values is not None else None, 0
 
-    for p in range(num_passes):
-        shift = begin_bit + p * config.digit_bits
-        width = min(config.digit_bits, end_bit - shift)
-        mask = out_keys.dtype.type((1 << width) - 1)
-        digits = (out_keys >> out_keys.dtype.type(shift)) & mask
+    order = _stable_order(keys, begin_bit, end_bit)
+    out_keys = keys[order]
+    out_values = values[order] if values is not None else None
 
-        # Stage 1 + 2: per-block histogram and scan of histograms.  These
-        # record their own (small) traffic; the functional rank computation
-        # below is the vectorised equivalent of the scatter-offset logic.
-        hist = block_histograms(digits.astype(out_keys.dtype), width, 0, device=device)
-        exclusive_scan(hist.reshape(-1), device=device, kernel_name="radix_sort.scan")
-
-        # Stage 3: stable scatter by the digit.
-        order = np.argsort(digits, kind="stable")
-        out_keys = out_keys[order]
-        if out_values is not None:
-            out_values = out_values[order]
-
-        # The scatter writes of a radix pass land in 2**digit_bits distinct
-        # output partitions, so they are only partially coalesced; charging
-        # them as random traffic is what calibrates the simulated sort to
-        # the ~770 M key-value pairs/s the paper measures on the K40c.
-        device.record_kernel(
-            "radix_sort.scatter",
-            coalesced_read_bytes=payload_bytes,
-            random_write_bytes=payload_bytes,
-            work_items=keys.size,
+    # Every pass but the last is a full ``digit_bits`` wide, so it launches
+    # the same three kernels with the same traffic.
+    last_width = end_bit - begin_bit - (num_passes - 1) * config.digit_bits
+    payload_bytes = keys.nbytes + (values.nbytes if values is not None else 0)
+    if num_passes > 1:
+        device.record_kernels(
+            _pass_kernels(keys, config.digit_bits, payload_bytes),
+            repeat=num_passes - 1,
         )
+    device.record_kernels(_pass_kernels(keys, last_width, payload_bytes))
 
     return out_keys, out_values, num_passes
 

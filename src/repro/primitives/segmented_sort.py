@@ -9,10 +9,15 @@ segments sorted, the first element of every run of equal keys within a
 segment is the most recent version, so validity can be decided with a single
 neighbouring comparison.
 
-The functional implementation sorts ``(segment_id, compare_key)`` pairs with
-a stable ``lexsort``, which is exactly the "join the segment id into the
-most significant bits and do one big stable sort" trick real GPU segsort
-implementations use for large segment counts.
+The module separates the answer from the charge.  The answer is one stable
+permutation: the segment id is joined into the most significant bits of the
+comparison key, ``(segment_id << 32) | compare_key``, and one stable argsort
+of that composite orders every segment at once — the trick real GPU segsort
+implementations use for large segment counts.  A 64-bit comparison key does
+not leave room for the segment id, so it falls back to a stable
+``lexsort((compare_key, segment_id))``, which gives the same permutation.
+The charge is independent of how the permutation was found: a segsort's
+merge passes, recorded per call from the payload size.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ KeyFunc = Optional[Callable[[np.ndarray], np.ndarray]]
 
 
 def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
-    """Expand segment start offsets into a per-element segment id array."""
+    """Expand segment start offsets into a per-element segment id array.
+
+    Ids are non-decreasing and distinct per segment; empty segments simply
+    own no elements.
+    """
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1:
         raise ValueError("segment offsets must be one-dimensional")
@@ -35,12 +44,27 @@ def _segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
         raise ValueError("segment offsets must start at zero and be non-decreasing")
     if offsets.size and offsets[-1] > total:
         raise ValueError("segment offsets exceed the data length")
-    ids = np.zeros(total, dtype=np.int64)
-    if total:
-        starts = offsets[(offsets > 0) & (offsets < total)]
-        np.add.at(ids, starts, 1)
-        ids = np.cumsum(ids)
-    return ids
+    if offsets.size == 0:
+        return np.zeros(total, dtype=np.uint64)
+    lengths = np.diff(offsets, append=total)
+    return np.repeat(np.arange(offsets.size, dtype=np.uint64), lengths)
+
+
+def _segmented_order(keys: np.ndarray, segment_offsets: np.ndarray, key: KeyFunc) -> np.ndarray:
+    """Stable permutation sorting each segment of ``keys`` by ``key(keys)``.
+
+    Equal ``(segment, compare key)`` pairs keep their input order, which is
+    what preserves the temporal ordering of duplicate keys.
+    """
+    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
+    if keys.size == 0:
+        return np.empty(0, dtype=np.int64)
+    cmp = keys if key is None else key(keys)
+    if cmp.dtype.kind == "u" and cmp.dtype.itemsize <= 4 and seg_ids[-1] >> np.uint64(32) == 0:
+        composite = (seg_ids << np.uint64(32)) | cmp.astype(np.uint64)
+        return np.argsort(composite, kind="stable")
+    # lexsort's last key is the primary one; sorting by (cmp within segment).
+    return np.lexsort((cmp, seg_ids))
 
 
 def segmented_sort_keys(
@@ -61,13 +85,7 @@ def segmented_sort_keys(
     if keys.ndim != 1:
         raise ValueError("segmented_sort_keys expects a one-dimensional array")
 
-    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
-    cmp = keys if key is None else key(keys)
-    # lexsort's last key is the primary one; sorting by (cmp within segment).
-    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
-    # np.lexsort is stable, so equal (seg, cmp) pairs keep their input order,
-    # which is what preserves the temporal ordering of duplicate keys.
-    result = keys[order]
+    result = keys[_segmented_order(keys, segment_offsets, key)]
 
     device.record_kernel(
         kernel_name,
@@ -94,9 +112,7 @@ def segmented_sort_pairs(
     if keys.ndim != 1 or values.shape != keys.shape:
         raise ValueError("keys and values must be one-dimensional and equally long")
 
-    seg_ids = _segment_ids_from_offsets(segment_offsets, keys.size)
-    cmp = keys if key is None else key(keys)
-    order = np.lexsort((cmp, seg_ids)) if keys.size else np.empty(0, dtype=np.int64)
+    order = _segmented_order(keys, segment_offsets, key)
     sorted_keys = keys[order]
     sorted_values = values[order]
 

@@ -597,6 +597,17 @@ class Engine:
         """The engine's hot-key read cache, or ``None`` when uncached."""
         return self._read_cache
 
+    def _rollback_tick(self, token) -> None:
+        """Undo a failed transactional tick in the backend *and* the log.
+
+        A failed append may have left the tick's record past the WAL's
+        acknowledged end (complete but unsynced, or torn); once the tick
+        is rolled back those bytes are dropped too, so a later recovery
+        cannot replay a tick whose clients were told it failed."""
+        rollback_backend_state(self._raw_backend, token)
+        if self._durability is not None:
+            self._durability.discard_unacknowledged()
+
     def health(self) -> HealthState:
         """The engine's health state machine verdict.
 
@@ -821,7 +832,7 @@ class Engine:
             except Exception:
                 failed = True
                 if token is not None:
-                    rollback_backend_state(self._raw_backend, token)
+                    self._rollback_tick(token)
                     with self._cond:
                         self._rolled_back_ticks += 1
                 raise
@@ -1128,7 +1139,7 @@ class Engine:
                     # of the log).  After this the backend is bit-identical
                     # to its pre-tick state.
                     try:
-                        rollback_backend_state(self._raw_backend, token)
+                        self._rollback_tick(token)
                         rolled_back = True
                     except Exception as rb_exc:  # pragma: no cover - defensive
                         error = EngineInternalError(
@@ -1245,7 +1256,7 @@ class Engine:
             if _read_epoch(self._raw_backend) != epoch_before:
                 # The probe mutated (or partially mutated) the backend;
                 # the next probe must start from the pre-tick state again.
-                rollback_backend_state(self._raw_backend, token)
+                self._rollback_tick(token)
         if not poisons:
             innocents = list(tick.entries)
         retry_tick: Optional[_FormedTick] = None
@@ -1267,7 +1278,7 @@ class Engine:
                     )
             except Exception as retry_exc:
                 retry_error = retry_exc
-                rollback_backend_state(self._raw_backend, token)
+                self._rollback_tick(token)
         return {
             "poisons": poisons,
             "retry_tick": retry_tick,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.wallclock import (
     PRE_PR_BASELINE_OPS_PER_S,
+    assert_counters_bit_identical,
     assert_results_bit_identical,
     make_prefill,
     make_replay_phases,
@@ -16,6 +17,7 @@ from repro.bench.wallclock import (
 )
 from repro.bench.workloads import MixedOpConfig, hot_key_set
 from repro.core.lsm import LookupResult
+from repro.gpu.device import Device
 
 
 class TestReplayWorkload:
@@ -99,6 +101,39 @@ class TestBitIdentityAssertion:
             assert_results_bit_identical(
                 self._result(), self._result(found=np.array([True, True]))
             )
+
+
+class TestCounterIdentityAssertion:
+    @staticmethod
+    def _device(*launches):
+        dev = Device(seed=1)
+        for name, nbytes in launches:
+            dev.record_kernel(name, coalesced_read_bytes=nbytes, work_items=1)
+        return dev
+
+    def test_identical_charges_pass(self):
+        assert_counters_bit_identical(
+            self._device(("a", 8), ("b", 16)), self._device(("a", 8), ("b", 16))
+        )
+
+    def test_traffic_divergence_raises(self):
+        with pytest.raises(AssertionError, match="per-kernel"):
+            assert_counters_bit_identical(
+                self._device(("a", 8)), self._device(("a", 9)), context="sort"
+            )
+
+    def test_launch_order_divergence_raises(self):
+        # Same per-kernel totals, different chronology.
+        with pytest.raises(AssertionError, match="kernel logs"):
+            assert_counters_bit_identical(
+                self._device(("a", 8), ("b", 16)), self._device(("b", 16), ("a", 8))
+            )
+
+    def test_clock_divergence_raises(self):
+        a, b = self._device(("a", 8)), self._device(("a", 8))
+        b.simulated_seconds += 1e-18
+        with pytest.raises(AssertionError, match="simulated clocks"):
+            assert_counters_bit_identical(a, b)
 
 
 class TestLookupResultHelper:

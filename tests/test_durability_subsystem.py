@@ -111,6 +111,26 @@ class TestGroupCommit:
         wal.close()
         assert wal.fsyncs == 1
 
+    def test_discard_unacknowledged_drops_a_failed_append(self, tmp_path):
+        # The second append's record reaches the file but its fsync dies:
+        # unacknowledged.  Once the caller discards it, a clean close must
+        # not leave it for recovery to replay.
+        path = os.path.join(tmp_path, "wal.log")
+        wal = WriteAheadLog(
+            path, fsync_every_n_ticks=1,
+            faults=FaultInjector({"wal.pre_fsync": 2}),
+        )
+        wal.append(0, _insert_batch(0, 4))
+        with pytest.raises(InjectedCrash):
+            wal.append(1, _insert_batch(4, 4))
+        assert os.path.getsize(path) > wal.end_offset
+        wal.discard_unacknowledged()
+        assert os.path.getsize(path) == wal.end_offset
+        wal.close()
+        scan = read_records(path)
+        assert [tick for tick, _, _ in scan.records] == [0]
+        assert not scan.torn
+
     def test_append_after_close_raises(self, tmp_path):
         wal = WriteAheadLog(os.path.join(tmp_path, "wal.log"))
         wal.close()

@@ -53,6 +53,33 @@ class TestDeviceBasics:
         d2 = Device(K40C_SPEC, seed=7)
         assert np.array_equal(d1.rng.integers(0, 100, 10), d2.rng.integers(0, 100, 10))
 
+    def test_record_kernels_equals_per_launch_recording(self):
+        from repro.bench.wallclock import assert_counters_bit_identical
+        from repro.gpu.counters import KernelStats
+
+        kernels = [
+            KernelStats("hist", coalesced_read_bytes=4096, coalesced_write_bytes=2048,
+                        work_items=1024),
+            KernelStats("scatter", coalesced_read_bytes=8192, random_write_bytes=8192,
+                        work_items=1024),
+        ]
+        batched, single = Device(K40C_SPEC), Device(K40C_SPEC)
+        single.record_kernel("warm", coalesced_read_bytes=3)
+        batched.record_kernel("warm", coalesced_read_bytes=3)
+        batched.record_kernels(kernels, repeat=3)
+        batched.record_kernels(kernels[:1])
+        for stats in kernels * 3 + kernels[:1]:
+            single.record_kernel(
+                stats.name,
+                coalesced_read_bytes=stats.coalesced_read_bytes,
+                coalesced_write_bytes=stats.coalesced_write_bytes,
+                random_write_bytes=stats.random_write_bytes,
+                work_items=stats.work_items,
+            )
+        assert_counters_bit_identical(single, batched)
+        assert batched.counter.total_launches == single.counter.total_launches == 8
+        assert batched.counter.total_bytes == single.counter.total_bytes
+
 
 class TestDefaultDevice:
     def test_default_device_created_lazily(self):

@@ -3,11 +3,16 @@ primitives on :class:`~repro.scale.sharded.ShardedLSM`, the
 :class:`~repro.scale.rebalance.LoadImbalancePolicy`, the split planner,
 the executor, and the engine/KVStore stats surfacing."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from repro import KVStore
 from repro.api.ops import OpBatch
+from repro.bench import report
+from repro.bench.rebalance import _traffic_ratio, update_rebalance_trajectory
 from repro.core.lsm import GPULSM
 from repro.core.maintenance import MaintenanceAction
 from repro.scale import (
@@ -439,3 +444,49 @@ class TestStatsSurfacing:
         assert action.kind == "rebalance"
         with pytest.raises(ValueError, match="kind"):
             MaintenanceAction(kind="reshard")
+
+
+class TestRebalanceReportIdleShard:
+    """A shard that saw no traffic makes max/min undefined: the report
+    emits an empty cell, never a sentinel number."""
+
+    def _idle_backend(self):
+        backend = ShardedLSM(4, batch_size=64, key_domain=DOMAIN)
+        engine = Engine(backend)
+        # Every key routes to shard 0; shards 1-3 stay idle.
+        keys = np.arange(8, dtype=np.uint64)
+        engine.apply(OpBatch.inserts(keys, keys))
+        engine.apply(OpBatch.lookups(keys))
+        return backend
+
+    def test_ratio_is_none_with_an_idle_shard(self):
+        backend = self._idle_backend()
+        assert min(backend.traffic_stats()["per_shard_ewma"]) == 0.0
+        assert _traffic_ratio(backend) is None
+
+    def test_ratio_is_finite_when_every_shard_has_traffic(self):
+        backend = ShardedLSM(2, batch_size=64, key_domain=DOMAIN)
+        keys = np.array([1, 2, 3, DOMAIN - 1], dtype=np.uint64)
+        Engine(backend).apply(OpBatch.lookups(keys))
+        assert _traffic_ratio(backend) == pytest.approx(3.0)
+
+    def test_trajectory_and_csv_leave_the_cell_empty(self, tmp_path):
+        rows = [
+            {"workload": "zipf", "num_shards": 4, "mode": "static",
+             "effective_rate_mops": 1.0, "traffic_max_min_ratio": 3.0},
+            {"workload": "zipf", "num_shards": 4, "mode": "rebalance",
+             "effective_rate_mops": 2.0, "speedup_vs_static": 2.0,
+             "traffic_max_min_ratio": _traffic_ratio(self._idle_backend())},
+        ]
+        doc = update_rebalance_trajectory(
+            str(tmp_path / "BENCH_rebalance.json"), rows, label="idle"
+        )
+        point = doc["entries"][-1]["rates"]["zipf@4"]
+        assert point["traffic_max_min_ratio"] is None
+        on_disk = json.loads((tmp_path / "BENCH_rebalance.json").read_text())
+        assert on_disk["entries"][-1]["rates"]["zipf@4"]["traffic_max_min_ratio"] is None
+
+        path = report.write_csv(rows, str(tmp_path / "rebalance_rates.csv"))
+        with open(path, newline="") as handle:
+            cells = [r["traffic_max_min_ratio"] for r in csv.DictReader(handle)]
+        assert cells == ["3.0", ""]

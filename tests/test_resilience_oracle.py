@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.api.ops import OpBatch, OpCode
 from repro.core.lsm import GPULSM
@@ -176,6 +176,19 @@ def _assert_backend_matches(backend, oracle, context):
     hit=st.integers(min_value=1, max_value=4),
     strict=st.booleans(),
     snapshot_every=st.sampled_from([0, 2]),
+)
+# The innocents' retry of a quarantined tick dies before its fsync and is
+# rolled back as the last write: its record must not survive into recovery.
+@example(
+    trace=[
+        [([("insert", 0, 0)], False)],
+        [([("insert", 0, 0)], False)],
+        [([("delete", 0, 0)], True), ([("delete", 0, 0)], False)],
+    ],
+    point="wal.pre_fsync",
+    hit=3,
+    strict=False,
+    snapshot_every=0,
 )
 def test_chaos_trace_isolates_faults(
     tmp_path_factory, kind, trace, point, hit, strict, snapshot_every

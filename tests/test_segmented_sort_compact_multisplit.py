@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.bench.wallclock import assert_counters_bit_identical
+from repro.gpu.device import Device
+from repro.primitives import segmented_sort as segmented_sort_module
 from repro.primitives.compact import (
     compact,
     partition_two_way,
@@ -54,6 +57,88 @@ class TestSegmentedSort:
         with pytest.raises(ValueError):
             segmented_sort_keys(np.array([1], dtype=np.uint32), np.array([1]),
                                 device=device)
+
+
+def _reference_segmented_sort(keys, values, offsets, key, device, kernel_name):
+    """Segmented sort by ``np.lexsort`` on (segment id, compare key), charged
+    as one four-launch segsort call — the oracle for the production path."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    seg_ids = np.searchsorted(offsets, np.arange(keys.size), side="right") - 1
+    cmp = keys if key is None else key(keys)
+    order = np.lexsort((cmp, seg_ids))
+    payload = keys.nbytes + (values.nbytes if values is not None else 0)
+    device.record_kernel(
+        kernel_name,
+        coalesced_read_bytes=2 * payload,
+        coalesced_write_bytes=payload,
+        work_items=keys.size,
+        launches=4,
+    )
+    return keys[order], values[order] if values is not None else None
+
+
+def _strip_status(words):
+    return words >> words.dtype.type(1)
+
+
+_SEGMENT_CASES = {
+    "zero_length": (0, [0, 0, 0]),
+    "no_offsets": (50, []),
+    "single_segment": (300, [0]),
+    "empty_segments": (300, [0, 0, 40, 40, 40, 299, 300, 300]),
+    "many_segments": (5000, list(range(0, 5000, 7))),
+}
+
+
+@pytest.mark.parametrize("key", [None, _strip_status], ids=["words", "status_stripped"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+@pytest.mark.parametrize("case", sorted(_SEGMENT_CASES))
+def test_segmented_sort_matches_lexsort(case, dtype, key):
+    """Keys, values and the device charge all match the lexsort oracle."""
+    n, offsets = _SEGMENT_CASES[case]
+    offsets = np.array(offsets, dtype=np.int64)
+    rng = np.random.default_rng(n + len(offsets))
+    keys = rng.integers(0, np.iinfo(dtype).max, n, dtype=dtype, endpoint=True)
+    keys[: n // 3] = keys[rng.integers(0, max(n, 1), n // 3)]
+    values = np.arange(n, dtype=np.uint32)
+
+    ref_dev, dev = Device(seed=1), Device(seed=1)
+    ref_keys, _ = _reference_segmented_sort(
+        keys, None, offsets, key, ref_dev, "segmented_sort.keys"
+    )
+    ref_pk, ref_pv = _reference_segmented_sort(
+        keys, values, offsets, key, ref_dev, "segmented_sort.pairs"
+    )
+    out_keys = segmented_sort_keys(keys, offsets, key=key, device=dev)
+    out_pk, out_pv = segmented_sort_pairs(keys, values, offsets, key=key, device=dev)
+
+    assert out_keys.dtype == keys.dtype
+    np.testing.assert_array_equal(out_keys, ref_keys)
+    np.testing.assert_array_equal(out_pk, ref_pk)
+    np.testing.assert_array_equal(out_pv, ref_pv)
+    assert_counters_bit_identical(ref_dev, dev)
+
+
+def test_segmented_sort_64bit_keys_fall_back_to_lexsort(monkeypatch):
+    """A 64-bit compare key leaves no room for the segment id in a 64-bit
+    composite, so the permutation comes from lexsort (and still matches)."""
+    calls = []
+    real_lexsort = np.lexsort
+
+    def spy(keys_seq):
+        calls.append(len(keys_seq))
+        return real_lexsort(keys_seq)
+
+    keys = np.array([2**63 + 5, 3, 2**63 + 5, 1, 2**64 - 1, 0], dtype=np.uint64)
+    offsets = np.array([0, 3])
+    monkeypatch.setattr(segmented_sort_module.np, "lexsort", spy)
+    out = segmented_sort_keys(keys, offsets, device=Device(seed=1))
+    assert calls == [2]
+    assert list(out) == [3, 2**63 + 5, 2**63 + 5, 0, 1, 2**64 - 1]
+
+    calls.clear()
+    segmented_sort_keys(keys.astype(np.uint32), offsets, device=Device(seed=1))
+    assert calls == []
 
 
 class TestCompact:
