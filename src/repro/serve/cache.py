@@ -22,8 +22,12 @@ hit path is a handful of vectorized gathers with no per-key Python work —
 a binary-search probe was measured ~5x slower, and the cache must beat
 the backend's own vectorized probe to be worth having.  Recency is
 batch-granular: every key touched by one ``lookup`` call shares one LRU
-stamp, and eviction drops the oldest-stamped entries first (rebuilding
-the table, so probes never cross tombstones).
+stamp, and eviction drops the oldest-stamped entries first.  Every fill
+rebuilds the table in one pass: entries sorted by home slot each take the
+first free slot at or after their home, which is the layout linear
+probing yields, and since a probe only needs every slot from home to
+position occupied, tie order is free (no stable sort).  Clusters never
+wrap: an overflow tail of ``capacity + 1`` slots follows the hashed range.
 
 Backends without an ``epoch`` / ``shard_epochs`` surface cannot signal
 mutations, so the proxy degrades to a counting pass-through for them
@@ -36,6 +40,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.encoding import check_non_negative
 from repro.core.lsm import LookupResult
 
 __all__ = ["ReadCachedBackend", "DEFAULT_CACHE_CAPACITY"]
@@ -78,15 +83,16 @@ class ReadCachedBackend:
         self._has_values: Optional[bool] = None
         self._values_dtype = np.dtype(np.uint64)
         self._clock = 0
-        # Table at least 4x capacity keeps the load factor <= 0.25, so
-        # linear-probe clusters stay short and the probe loop converges
-        # in one or two vectorized rounds.
+        # Hashing into at least 4x capacity keeps the load factor <= 0.25,
+        # so linear-probe clusters stay short and the probe loop converges
+        # in one or two vectorized rounds.  A cluster holds <= capacity
+        # entries, so the overflow tail always ends in an empty slot.
         table_size = 8
         while table_size < 4 * max(self._capacity, 1):
             table_size *= 2
         self._mask = np.int64(table_size - 1)
         self._shift = np.uint64(64 - int(table_size).bit_length() + 1)
-        self._table_slot = np.full(table_size, -1, dtype=np.int64)
+        self._table_slot = np.full(table_size + self._capacity + 1, -1, dtype=np.int64)
         self._reset_store()
         self._hits = 0
         self._misses = 0
@@ -161,8 +167,8 @@ class ReadCachedBackend:
 
         Each round gathers one table position for every still-unresolved
         key; a key resolves on its own key match (hit) or on an empty
-        slot (definitive miss, since eviction rebuilds rather than
-        tombstones).  Rounds = longest probe cluster, ~1-2 at our load.
+        slot (definitive miss: the table is rebuilt, never tombstoned).
+        Rounds = longest probe cluster, ~1-2 at our load.
         """
         h = self._hash(keys)
         slot = self._table_slot[h]
@@ -170,7 +176,7 @@ class ReadCachedBackend:
         hit = occupied & (self._entry_keys[np.maximum(slot, 0)] == keys)
         unresolved = np.flatnonzero(occupied & ~hit)
         while unresolved.size:
-            nh = (h[unresolved] + 1) & self._mask
+            nh = h[unresolved] + 1
             h[unresolved] = nh
             s = self._table_slot[nh]
             slot[unresolved] = s
@@ -180,33 +186,24 @@ class ReadCachedBackend:
             unresolved = unresolved[occ & ~now_hit]
         return hit, slot
 
-    def _insert_slots(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Vectorized insertion of new (absent) keys into the table.
+    def _rebuild_table(self) -> None:
+        """Lay out the table over all live entries in one sorted pass.
 
-        Keys that collide — with occupied slots or with each other —
-        advance together to their next probe position each round; one
-        winner per free slot is placed per round (first in batch order,
-        via ``np.unique``'s first-occurrence index on the stable-sorted
-        positions).
+        With entries ordered by home slot ``h``, entry ``i`` lands at
+        ``max(h[i], pos[i - 1] + 1)``; subtracting ``i`` turns that
+        recurrence into a running maximum of ``h - i``.
         """
-        h = self._hash(keys)
-        pending = np.arange(keys.size)
-        while pending.size:
-            hp = h[pending]
-            free = self._table_slot[hp] < 0
-            placed = np.zeros(pending.size, dtype=bool)
-            idx = np.flatnonzero(free)
-            if idx.size:
-                _, first = np.unique(hp[idx], return_index=True)
-                winners = pending[idx[first]]
-                self._table_slot[h[winners]] = slots[winners]
-                placed[idx[first]] = True
-            pending = pending[~placed]
-            h[pending] = (h[pending] + 1) & self._mask
+        n = self._n_entries
+        h = self._hash(self._entry_keys[:n])
+        order = np.argsort(h)
+        ramp = np.arange(n)
+        pos = np.maximum.accumulate(h[order] - ramp) + ramp
+        self._table_slot.fill(-1)
+        self._table_slot[pos] = order
 
     def _evict_to(self, room: int) -> None:
         """Drop the oldest-stamped entries until ``room`` slots are free,
-        then rebuild the table over the survivors."""
+        compacting the survivors to the front of the columns."""
         n = self._n_entries
         drop = n + room - self._capacity
         if drop >= n:
@@ -220,10 +217,6 @@ class ReadCachedBackend:
         self._stamps[:kept] = self._stamps[keep]
         self._n_entries = kept
         self._evictions += drop
-        self._table_slot.fill(-1)
-        self._insert_slots(
-            self._entry_keys[:kept], np.arange(kept, dtype=np.int64)
-        )
 
     # ------------------------------------------------------------------ #
     # The cached operation
@@ -237,7 +230,8 @@ class ReadCachedBackend:
         are resolved by the inner backend itself.
         """
         self._maybe_invalidate()
-        query_keys = np.asarray(query_keys)
+        # Signed keys times the uint64 hash constant would promote to float64.
+        query_keys = check_non_negative(query_keys, "query keys").astype(np.uint64, copy=False)
         n = int(query_keys.size)
         usable = self._capacity > 0 and self._fill_token is not None
         if n == 0 or not usable:
@@ -311,7 +305,7 @@ class ReadCachedBackend:
         self._stamps[lo:hi] = self._clock
         self._n_entries = hi
         self._fills += add
-        self._insert_slots(uniq_miss, np.arange(lo, hi, dtype=np.int64))
+        self._rebuild_table()
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -2,15 +2,18 @@
 
 A fixed 32-tick mixed stream runs through :class:`GPULSM` and through a
 :class:`ShardedLSM` with stale-fraction cleanup and load-imbalance
-rebalancing on.  Every device's ``(total_launches, total_bytes,
-simulated_seconds.hex())`` is pinned to the values the stream produced
-when they were recorded.  A change to how a primitive computes its answer
-must leave these untouched; a change to the traffic model must update them
-deliberately and say why.
+rebalancing on, and a hot/cold lookup stream runs through a cached
+:class:`Engine`.  Every device's ``(total_launches, total_bytes,
+simulated_seconds.hex())``, and the read cache's counters, are pinned to
+the values the streams produced when they were recorded.  A change to how
+a primitive computes its answer must leave these untouched; a change to
+the traffic model must update them deliberately and say why.
 """
 
+import numpy as np
 import pytest
 
+from repro.api import OpBatch
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
 from repro.core.lsm import GPULSM
 from repro.core.maintenance import StaleFractionPolicy
@@ -96,3 +99,56 @@ def test_device_counters_match_golden(name):
         assert backend.rebalance_stats()["rebalance_runs"] >= 1
         assert backend.maintenance_stats()["runs"] >= 1
     assert got == GOLDEN[name]
+
+
+def _cached_stream():
+    """Hot/cold LOOKUP ticks (90% on a 48-key hot set) with an INSERT
+    tick every eighth tick, so a 64-key cache fills, evicts and is
+    invalidated throughout."""
+    rng = np.random.default_rng(2025)
+    hot = rng.choice(1 << 12, 48, replace=False).astype(np.uint64)
+    batches = []
+    for tick in range(TICKS):
+        if tick % 8 == 0:
+            keys = rng.integers(0, 1 << 12, TICK_SIZE, dtype=np.uint64)
+            batches.append(OpBatch.inserts(keys, keys * np.uint64(3)))
+            continue
+        keys = rng.integers(0, 1 << 12, TICK_SIZE, dtype=np.uint64)
+        is_hot = rng.random(TICK_SIZE) < 0.9
+        keys[is_hot] = hot[rng.integers(0, hot.size, int(is_hot.sum()))]
+        batches.append(OpBatch.lookups(keys))
+    return batches
+
+
+#: ``(launches, bytes, simulated_seconds.hex())`` of the cached engine's
+#: device, then its read-cache counters.
+GOLDEN_CACHED = (
+    (193, 1760204, "0x1.04177a7ae1321p-10"),
+    {
+        "hits": 5478,
+        "misses": 8858,
+        "fills": 1759,
+        "evictions": 1503,
+        "invalidations": 3,
+    },
+)
+
+
+def test_cached_engine_counters_match_golden():
+    """The read cache's table layout is private: a change to it must not
+    move which keys are evicted, and so which misses reach the device."""
+    backend = GPULSM(batch_size=TICK_SIZE, device=Device(seed=1))
+    engine = Engine(backend, cache_capacity=64)
+    for batch in _cached_stream():
+        engine.apply(batch)
+    d = backend.device
+    stats = engine.read_cache.cache_stats()
+    got = (
+        (d.counter.total_launches, d.counter.total_bytes, d.simulated_seconds.hex()),
+        {
+            k: stats[k]
+            for k in ("hits", "misses", "fills", "evictions", "invalidations")
+        },
+    )
+    assert min(got[1].values()) > 0
+    assert got == GOLDEN_CACHED

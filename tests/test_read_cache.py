@@ -166,6 +166,75 @@ class TestReadCachedBackend:
         assert sharded.epoch > epoch_before
 
 
+def _probe_stop(proxy, key):
+    """Scalar linear probe over the proxy's table: the index where the
+    probe for ``key`` stops (its own entry, or an empty slot)."""
+    table = proxy._table_slot
+    i = int(proxy._hash(np.array([key], dtype=np.uint64))[0])
+    while table[i] >= 0 and proxy._entry_keys[table[i]] != key:
+        i += 1
+        assert i < table.size, "probe ran off the end of the table"
+    return i
+
+
+class TestTableLayout:
+    @pytest.mark.parametrize("capacity", [1, 3, 64])
+    def test_clusters_spill_into_the_overflow_tail(self, capacity):
+        """Keys homed in the last table slots form one cluster that runs
+        past the hashed range; fills and evictions through it must keep
+        every cached key findable and every other key a miss."""
+        proxy = ReadCachedBackend(_lsm(), capacity=capacity)
+        table_size = int(proxy._mask) + 1
+        candidates = np.arange(1 << 16, dtype=np.uint64)
+        tail_keys = candidates[proxy._hash(candidates) >= table_size - 2]
+        never = tail_keys[:8]
+        stream = tail_keys[8 : 8 + 3 * capacity]
+        assert stream.size == 3 * capacity
+        step = max(1, capacity // 3)
+        batches = [stream[:capacity]] + [
+            stream[lo : lo + step] for lo in range(capacity, stream.size, step)
+        ]
+        spilled = False
+        for batch in batches:
+            proxy.lookup(batch)
+            n = len(proxy)
+            cached = proxy._entry_keys[:n]
+            for entry, key in enumerate(cached):
+                stop = _probe_stop(proxy, key)
+                assert proxy._table_slot[stop] == entry
+                spilled |= stop >= table_size
+            for key in never:
+                assert proxy._table_slot[_probe_stop(proxy, key)] == -1
+            hit, slot = proxy._probe(cached)
+            assert hit.all() and (slot == np.arange(n)).all()
+            assert not proxy._probe(never)[0].any()
+        assert len(proxy) == capacity
+        assert proxy.cache_stats()["evictions"] == 2 * capacity
+        # Two home slots cannot hold a cluster of three or more keys.
+        assert spilled == (capacity > 1)
+
+
+class TestKeyDtypes:
+    @pytest.mark.parametrize("dtype", [None, np.int64, np.int32, np.uint32, np.uint64])
+    def test_cached_answers_match_uncached(self, dtype):
+        keys = [1, 5, 1, 999, 63]
+        queries = keys if dtype is None else np.array(keys, dtype=dtype)
+        cached = KVStore(_lsm(), cache_capacity=8)
+        plain = KVStore(_lsm())
+        for _ in range(2):  # cold, then warm
+            got, want = cached.lookup(queries), plain.lookup(queries)
+            np.testing.assert_array_equal(got.found, want.found)
+            np.testing.assert_array_equal(got.values, want.values)
+        assert cached.stats().read_cache["hits"] == len(keys)
+
+    @pytest.mark.parametrize("cache_capacity", [None, 8])
+    def test_negative_keys_raise_the_backend_error(self, cache_capacity):
+        store = KVStore(_lsm(), cache_capacity=cache_capacity)
+        store.lookup([3])
+        with pytest.raises(ValueError, match="query keys must be non-negative"):
+            store.lookup(np.array([3, -1], dtype=np.int64))
+
+
 class TestSupportsThroughProxy:
     def test_declared_path_not_poisoned_by_wrapper_type(self):
         """Two ReadCachedBackend instances wrapping backends with
