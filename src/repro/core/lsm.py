@@ -171,13 +171,6 @@ class GPULSM:
         #: rebuild-on-trip policies quench until the structure changes
         #: (every mutation bumps :attr:`epoch`, expiring the mark).
         self._futile_rebuild_epoch: Optional[int] = None
-        #: Epoch-keyed flat concatenation of the occupied levels'
-        #: key/value buffers (see :meth:`_flat_levels`): host-side stand-in
-        #: for the device's per-level base pointers, letting COUNT/RANGE
-        #: candidate collection run as one cross-level ragged gather.
-        self._flat_levels_cache: Optional[
-            Tuple[int, np.ndarray, Optional[np.ndarray], np.ndarray]
-        ] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -907,11 +900,14 @@ class GPULSM:
     ) -> Tuple[SortedRun, np.ndarray]:
         """Stages 1–3 of COUNT/RANGE (Fig. 2c lines 4–14).
 
-        Returns the concatenated candidate run plus per-query offsets of
-        length ``num_queries + 1``.  Candidates of one query are contiguous,
+        Returns the candidate run plus per-query offsets of length
+        ``num_queries + 1``.  Candidates of one query are contiguous,
         ordered from the most recent level to the oldest, each level's
         contribution key-sorted — the order the segmented sort needs to
-        preserve recency among equal keys.
+        preserve recency among equal keys.  Each level's candidates are
+        gathered straight from its resident buffers, the way the device
+        kernel indexes them through per-level base pointers; no copy of
+        the whole structure is made.
         """
         levels = self.occupied_levels()
         nq = k1.size
@@ -929,10 +925,16 @@ class GPULSM:
         # ``[k1, k2]`` cannot contribute candidates, so the binary searches
         # run only for the overlapping (query, level) pairs; the pruned
         # pairs keep ``lows == ups == 0`` (an empty candidate chunk).
+        # The probes are searched in ``k1`` order and their bounds
+        # scattered back to request order.  That order is host-only: the
+        # simulated kernels are charged per searched pair, the same in any
+        # order, but NumPy's ``searchsorted`` runs about twice as fast on
+        # sorted needles.
         lows = np.zeros((nq, num_levels), dtype=np.int64)
         ups = np.zeros((nq, num_levels), dtype=np.int64)
-        lower_probes = self.encoder.lower_probe(k1)
-        upper_probes = self.encoder.upper_probe(k2)
+        order = np.argsort(k1, kind="stable")
+        lower_probes = self.encoder.lower_probe(k1[order])
+        upper_probes = self.encoder.upper_probe(k2[order])
         for j, level in enumerate(levels):
             self._filter_stats.range_pairs += nq
             overlap = (
@@ -941,8 +943,8 @@ class GPULSM:
                 else None
             )
             if overlap is None:
-                idx = slice(None)
-                searched = nq
+                rows = order
+                lo_probes, up_probes = lower_probes, upper_probes
             else:
                 # Fence-overlap test fused into the bound-search prologue
                 # (two register compares per query; no separate launch).
@@ -953,20 +955,21 @@ class GPULSM:
                     work_items=nq,
                     launches=0,
                 )
-                idx = np.flatnonzero(overlap)
-                searched = int(idx.size)
-                self._filter_stats.range_fence_pruned += nq - searched
-                if searched == 0:
+                idx = np.flatnonzero(overlap[order])
+                self._filter_stats.range_fence_pruned += nq - int(idx.size)
+                if idx.size == 0:
                     continue
-            lows[idx, j] = lower_bound(
+                rows = order[idx]
+                lo_probes, up_probes = lower_probes[idx], upper_probes[idx]
+            lows[rows, j] = lower_bound(
                 level.keys,
-                lower_probes[idx],
+                lo_probes,
                 device=self.device,
                 kernel_name="lsm.query.lower_bound",
             )
-            ups[idx, j] = upper_bound(
+            ups[rows, j] = upper_bound(
                 level.keys,
-                upper_probes[idx],
+                up_probes,
                 device=self.device,
                 kernel_name="lsm.query.upper_bound",
             )
@@ -975,9 +978,8 @@ class GPULSM:
         # Stage 2: device-wide exclusive scan gives each (query, level)
         # chunk its output offset; query-major order keeps each query's
         # candidates contiguous.
-        flat_counts = counts.reshape(-1)
         flat_offsets, total = exclusive_scan(
-            flat_counts, device=self.device, kernel_name="lsm.query.scan"
+            counts.reshape(-1), device=self.device, kernel_name="lsm.query.scan"
         )
         offsets_2d = flat_offsets.reshape(nq, num_levels)
 
@@ -986,27 +988,29 @@ class GPULSM:
         query_offsets[:-1] = offsets_2d[:, 0]
         query_offsets[-1] = total
 
-        # Stage 3: one ragged gather across every (query, level) chunk at
-        # once.  The flat chunk order is query-major — exactly the order
-        # the exclusive scan assigned output offsets in — so the
-        # destination of the combined gather is ``arange(total)`` and only
-        # the *source* indices need computing: per chunk, the level's base
-        # offset in the flat level concatenation plus the chunk's
-        # lower-bound position, plus a within-chunk ramp.
-        flat_keys, flat_values, bases = self._flat_levels(levels, with_values)
-        src_start = np.tile(bases, nq) + lows.reshape(-1)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(flat_counts) - flat_counts, flat_counts
+        # Stage 3: one ragged gather per level, indexing the resident
+        # buffers in place.  Chunk ``(q, j)`` copies ``counts[q, j]``
+        # elements from ``lows[q, j]`` in level ``j`` to
+        # ``offsets_2d[q, j]`` in the output; a within-chunk ramp turns
+        # the chunk starts into per-element source and destination
+        # indices.
+        cand_keys = np.empty(int(total), dtype=levels[0].keys.dtype)
+        cand_values = (
+            np.zeros(int(total), dtype=self.config.value_dtype)
+            if with_values
+            else None
         )
-        src = np.repeat(src_start, flat_counts) + within
-        cand_keys = flat_keys[src]
-        cand_values = None
-        if with_values:
-            cand_values = (
-                flat_values[src]
-                if flat_values is not None
-                else np.zeros(total, dtype=self.config.value_dtype)
-            )
+        for j, level in enumerate(levels):
+            c = counts[:, j]
+            n_j = int(c.sum())
+            if n_j == 0:
+                continue
+            ramp = np.arange(n_j) - np.repeat(np.cumsum(c) - c, c)
+            src = np.repeat(lows[:, j], c) + ramp
+            dst = np.repeat(offsets_2d[:, j], c) + ramp
+            cand_keys[dst] = level.keys[src]
+            if cand_values is not None and level.values is not None:
+                cand_values[dst] = level.values[src]
         per_item = self.config.key_dtype.itemsize + (
             self.config.value_dtype.itemsize if cand_values is not None else 0
         )
@@ -1020,48 +1024,6 @@ class GPULSM:
             launches=1,
         )
         return SortedRun(cand_keys, cand_values), query_offsets
-
-    def _flat_levels(
-        self, levels: List[Level], with_values: bool
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """The occupied levels' buffers as one concatenation, plus each
-        level's base offset inside it (most recent level first, matching
-        ``occupied_levels()`` order).
-
-        This is a host-side stand-in for the device's array of per-level
-        base pointers: the real gather kernel indexes straight into the
-        resident level buffers, so building (and caching) the
-        concatenation records no simulated traffic — the same convention
-        as ``_distinct_regular_keys``'s free sort epilogue.  The cache is
-        keyed on the structural :attr:`epoch` (every mutation bumps it),
-        and values are concatenated lazily the first time a caller asks
-        for them at the current epoch.
-        """
-        cache = self._flat_levels_cache
-        need_values = with_values and not self.key_only
-        if cache is not None and cache[0] == self.epoch:
-            _, flat_keys, flat_values, bases = cache
-            if not need_values or flat_values is not None:
-                return flat_keys, flat_values, bases
-        flat_keys = np.concatenate([level.keys for level in levels])
-        flat_values = None
-        if need_values:
-            flat_values = np.concatenate(
-                [
-                    (
-                        level.values
-                        if level.values is not None
-                        else np.zeros(level.size, dtype=self.config.value_dtype)
-                    )
-                    for level in levels
-                ]
-            )
-        sizes = np.fromiter(
-            (level.size for level in levels), dtype=np.int64, count=len(levels)
-        )
-        bases = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)[:-1]])
-        self._flat_levels_cache = (self.epoch, flat_keys, flat_values, bases)
-        return flat_keys, flat_values, bases
 
     def _validate_candidates(
         self, sorted_words: np.ndarray, query_offsets: np.ndarray

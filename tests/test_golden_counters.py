@@ -1,8 +1,8 @@
 """Golden device counters: the simulated clock must not drift.
 
-A fixed 32-tick mixed stream runs through :class:`GPULSM` and through a
-:class:`ShardedLSM` with stale-fraction cleanup and load-imbalance
-rebalancing on, and a hot/cold lookup stream runs through a cached
+A fixed 32-tick mixed stream runs through :class:`GPULSM` (filters off,
+and with fence + Bloom filters on) and through a :class:`ShardedLSM` with
+stale-fraction cleanup and load-imbalance rebalancing on, and a hot/cold lookup stream runs through a cached
 :class:`Engine`.  Every device's ``(total_launches, total_bytes,
 simulated_seconds.hex())``, and the read cache's counters, are pinned to
 the values the streams produced when they were recorded.  A change to how
@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import OpBatch
 from repro.bench.workloads import MixedOpConfig, make_mixed_batches
+from repro.core.config import LSMConfig
 from repro.core.lsm import GPULSM
 from repro.core.maintenance import StaleFractionPolicy
 from repro.gpu.device import Device
@@ -71,10 +72,11 @@ def _sharded():
 
 
 #: One ``(launches, bytes, simulated_seconds.hex())`` per device: the
-#: GPULSM's device; the sharded front-end's router, its live shards, then
+#: GPULSM's device (filters off, then filters on); the sharded front-end's router, its live shards, then
 #: any devices a merge parked.
 GOLDEN = {
     "gpulsm": [(1608, 13994918, "0x1.0e9d8562a3d15p-7")],
+    "gpulsm-filters": [(1720, 16709315, "0x1.214060668082cp-7")],
     "sharded": [
         (976, 2815400, "0x1.40f19b02a9435p-8"),
         (1367, 2727724, "0x1.c1d627c27af8cp-8"),
@@ -91,9 +93,21 @@ GOLDEN = {
 def test_device_counters_match_golden(name):
     if name == "gpulsm":
         backend = GPULSM(batch_size=TICK_SIZE, device=Device(seed=1))
+    elif name == "gpulsm-filters":
+        backend = GPULSM(
+            config=LSMConfig(
+                batch_size=TICK_SIZE, enable_fences=True, bloom_bits_per_key=8
+            ),
+            device=Device(seed=1),
+        )
     else:
         backend = _sharded()
     got = _replay(backend)
+    if name == "gpulsm-filters":
+        # The fence charge and the pruned-pair search charges must run.
+        stats = backend.filter_stats()
+        assert stats["range_fence_pruned"] > 0
+        assert stats["fence_pruned"] > 0 and stats["bloom_pruned"] > 0
     if name == "sharded":
         # The stream must exercise what it is meant to pin.
         assert backend.rebalance_stats()["rebalance_runs"] >= 1
